@@ -111,9 +111,8 @@ class Octree {
   /// current one; in that case the permuted point order, `original_index`,
   /// and every node's point range afterwards are bitwise what that fresh
   /// build would have computed, while node keys, boxes, parent/child links,
-  /// `leaves()`, `nodes_by_level()`, and therefore the structure signature
-  /// are untouched. On false the tree is unchanged and the caller must
-  /// rebuild.
+  /// `leaves()` and `nodes_by_level()` are untouched. On false the tree is
+  /// unchanged and the caller must rebuild.
   ///
   /// Requirements: the tree was built over a fixed `Params.domain`
   /// (otherwise a fresh build would re-derive a different bounding cube and

@@ -196,7 +196,6 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
   const ServePlan& sp = *cached.value;
 
   fmm::FmmEvaluator ev(sp.plan, std::move(tree));
-  ev.set_executor(cfg_.executor);
 
   if (cfg_.schedule_ctx) {
     const ScheduleContext& ctx = *cfg_.schedule_ctx;
@@ -245,14 +244,10 @@ std::shared_ptr<const ServePlan> FmmServer::build_plan(
 
   fmm::FmmConfig fcfg;
   fcfg.p = req.p;
-  auto plan = std::make_shared<fmm::FmmPlan>(
-      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
-  plan->attach_dag_skeleton(fmm::build_fmm_dag_skeleton(
-      tree, fmm::build_lists(tree), fcfg.use_fft_m2l));
-
   auto sp = std::make_shared<ServePlan>();
   sp->key = key;
-  sp->plan = plan;
+  sp->plan = std::make_shared<fmm::FmmPlan>(
+      make_kernel(req.kernel), tree.domain().half, tree.max_depth(), fcfg);
   return sp;
 }
 

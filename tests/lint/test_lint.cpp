@@ -4,15 +4,13 @@
 //
 // EROOF_LINT_FIXTURES and EROOF_LINT_BIN are injected by tests/CMakeLists.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.hpp"
+#include "run_lint.hpp"
 
 namespace eroof::lint {
 namespace {
@@ -83,10 +81,10 @@ TEST(LintRules, AllocationOutsideHotRegionIsFine) {
 }
 
 TEST(LintRules, FlagsAllocationsInExecutorWorkerLoop) {
-  // The task-graph executor's replay loop is the repo's newest hot region:
-  // per-task strings, type-erased bodies, heap scratch, and container growth
-  // are all banned there, while graph-build code below the region may
-  // allocate freely.
+  // A task-graph executor's replay loop is a typical hot region: per-task
+  // strings, type-erased bodies, heap scratch, and container growth are all
+  // banned there, while graph-build code below the region may allocate
+  // freely.
   const auto rep = lint_file(fixture("bad_executor.cpp"), Options{});
   const std::vector<std::pair<int, std::string>> expected = {
       {17, "hot-alloc"},
@@ -393,28 +391,6 @@ TEST(LintPolicy, FixAnnotationsListsUnannotatedParallelRegions) {
 // ---------------------------------------------------------------------------
 // The binary, end to end: exact exit codes and output format
 // ---------------------------------------------------------------------------
-
-struct RunResult {
-  int exit_code = -1;
-  std::string out;
-};
-
-RunResult run_lint(const std::string& args) {
-  static int counter = 0;
-  const std::string out_path = ::testing::TempDir() + "eroof_lint_out_" +
-                               std::to_string(counter++) + ".txt";
-  const std::string cmd = std::string(EROOF_LINT_BIN) + " " + args + " > " +
-                          out_path + " 2>/dev/null";
-  const int status = std::system(cmd.c_str());
-  RunResult r;
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(out_path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  r.out = ss.str();
-  std::remove(out_path.c_str());
-  return r;
-}
 
 std::size_t count_lines_containing(const std::string& text,
                                    const std::string& needle) {

@@ -2,16 +2,15 @@
 // its context-keyed matching, and the SARIF 2.1.0 document shape -- plus
 // the binary's --write-baseline / --baseline / --sarif plumbing end to end.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.hpp"
+#include "run_lint.hpp"
 #include "sarif.hpp"
 
 namespace eroof::lint {
@@ -149,28 +148,6 @@ TEST(LintSarif, NotesBecomeNoteLevelResults) {
 // ---------------------------------------------------------------------------
 // The binary: baseline and SARIF plumbing end to end
 // ---------------------------------------------------------------------------
-
-struct RunResult {
-  int exit_code = -1;
-  std::string out;
-};
-
-RunResult run_lint(const std::string& args) {
-  static int counter = 0;
-  const std::string out_path = ::testing::TempDir() + "eroof_sarif_out_" +
-                               std::to_string(counter++) + ".txt";
-  const std::string cmd = std::string(EROOF_LINT_BIN) + " " + args + " > " +
-                          out_path + " 2>/dev/null";
-  const int status = std::system(cmd.c_str());
-  RunResult r;
-  r.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(out_path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  r.out = ss.str();
-  std::remove(out_path.c_str());
-  return r;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,8 +1,8 @@
 // FmmServer end-to-end: the serving contract (every response bitwise
 // identical to a fresh single-threaded FmmEvaluator run, independent of
 // worker count, arrival order, and cache hits vs misses), admission-control
-// shedding, plan-cache accounting through the server, and the DVFS schedule
-// attached to responses.
+// shedding, plan-cache accounting through the server, the DVFS schedule
+// attached to responses, and per-request attribution of the phase spans.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -20,6 +20,7 @@
 #include "serve/plan_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "trace/trace.hpp"
 
 namespace eroof::serve {
 namespace {
@@ -46,7 +47,7 @@ WorkloadConfig small_workload() {
 }
 
 /// The contract's reference: a fresh evaluator, built from scratch (its own
-/// plan, no sharing), run single-threaded with the phases executor.
+/// plan, no sharing), run single-threaded.
 std::vector<double> reference_solve(const FmmRequest& req) {
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
@@ -99,6 +100,52 @@ TEST(FmmServer, ResponsesBitwiseMatchFreshEvaluatorAcrossWorkerCounts) {
       EXPECT_EQ(stats.served, kRequests);
       EXPECT_EQ(stats.shed, 0u);
     }
+  }
+}
+
+TEST(FmmServer, PhaseSpansSitOnTheirEvaluateSpansThread) {
+  // A phase span is attributable to its request only through the evaluate
+  // span that encloses it: same trace tid, inside its time interval. Two
+  // workers, so evaluates run on two threads.
+  const WorkloadConfig wl = small_workload();
+  constexpr std::uint64_t kRequests = 6;
+  trace::TraceSession session;
+  {
+    trace::SessionGuard guard(session);
+    // The submitting thread traces first, so tid 0 -- where a span with a
+    // defaulted tid lands -- belongs to no worker.
+    trace::ScopedSpan submit_span("submit", "test");
+    ServerConfig cfg;
+    cfg.workers = 2;
+    cfg.queue_capacity = kRequests;
+    FmmServer server(cfg);
+    std::vector<std::future<FmmResponse>> futures;
+    for (std::uint64_t i = 0; i < kRequests; ++i)
+      futures.push_back(server.submit(make_request(wl, i)));
+    for (auto& f : futures) ASSERT_EQ(f.get().status, ServeStatus::kOk);
+  }
+
+  std::vector<trace::SpanEvent> evaluates, phases;
+  for (const auto& span : session.spans()) {
+    if (span.category == "fmm" && span.name == "evaluate")
+      evaluates.push_back(span);
+    if (span.category == "fmm.phase") phases.push_back(span);
+  }
+  ASSERT_EQ(evaluates.size(), kRequests);
+  ASSERT_EQ(phases.size(), 6 * kRequests);
+  // Each span reads the clock twice (start, duration), truncated to whole
+  // microseconds, so a child's end may read up to 2 us past its parent's.
+  constexpr std::int64_t kSlackUs = 2;
+  for (const auto& ph : phases) {
+    const bool enclosed = std::any_of(
+        evaluates.begin(), evaluates.end(), [&](const trace::SpanEvent& ev) {
+          return ev.tid == ph.tid && ev.start_us <= ph.start_us &&
+                 ph.start_us + ph.dur_us <=
+                     ev.start_us + ev.dur_us + kSlackUs;
+        });
+    EXPECT_TRUE(enclosed) << ph.name << " span on tid " << ph.tid << " at "
+                          << ph.start_us << "+" << ph.dur_us
+                          << " us has no enclosing evaluate span";
   }
 }
 
