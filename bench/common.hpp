@@ -50,7 +50,7 @@ struct Platform {
 inline Platform make_platform(std::uint64_t seed = 42) {
   Platform p;
   util::Rng rng(seed);
-  p.campaign = ub::paper_campaign(p.soc, p.pm, rng);
+  p.campaign = ub::paper_campaign(p.soc, p.pm, util::RngStream(rng()));
   const auto train = p.samples(hw::SettingRole::kTrain);
   p.model = model::fit_energy_model(train).model;
   return p;
@@ -97,7 +97,9 @@ inline FmmRunResult run_fmm_profile(const Platform& p,
                                     util::Rng& rng) {
   FmmRunResult r;
   for (const auto& ph : prof.phases) {
-    const auto m = p.soc.run(ph.workload, setting, p.pm, rng);
+    const auto m =
+        p.soc.run(ph.workload, setting, p.pm, util::RngStream(rng()));
+    hw::trace_measurement(m);
     r.time_s += m.time_s;
     r.energy_j += m.energy_j;
     r.ops += ph.workload.ops;

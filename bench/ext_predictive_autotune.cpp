@@ -37,7 +37,7 @@ int main() {
     std::vector<double> lost_oracle;
     for (const auto& point : ub::intensity_sweep(cls)) {
       const auto ms = model::measure_grid(platform.soc, point.workload, grid,
-                                          platform.pm, rng);
+                                          platform.pm, util::RngStream(rng()));
       double best = 1e300;
       for (const auto& m : ms) best = std::min(best, m.energy_j);
 

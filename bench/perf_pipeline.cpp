@@ -64,7 +64,7 @@ void BM_PaperCampaign(benchmark::State& state) {
   const hw::PowerMon pm;
   for (auto _ : state) {
     util::Rng rng(kCampaignSeed);
-    auto samples = ub::paper_campaign(soc, pm, rng);
+    auto samples = ub::paper_campaign(soc, pm, util::RngStream(rng()));
     benchmark::DoNotOptimize(samples.data());
   }
 }
@@ -74,7 +74,7 @@ void BM_FitEnergyModel(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -90,7 +90,7 @@ void BM_KfoldValidation(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   std::vector<model::FitSample> all;
   for (const auto& s : campaign) all.push_back(model::to_fit_sample(s.meas));
   for (auto _ : state) {
@@ -105,7 +105,7 @@ void BM_LeaveOneSettingOut(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   std::vector<model::FitSample> all;
   for (const auto& s : campaign) all.push_back(model::to_fit_sample(s.meas));
   for (auto _ : state) {
@@ -119,7 +119,7 @@ void BM_MeasureGridAutotune(benchmark::State& state) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -129,7 +129,8 @@ void BM_MeasureGridAutotune(benchmark::State& state) {
   const auto grid = hw::full_grid();
   for (auto _ : state) {
     util::Rng grng(kGridSeed);
-    const auto ms = model::measure_grid(soc, w, grid, pm, grng, kGridRepeats);
+    const auto ms = model::measure_grid(soc, w, grid, pm,
+                                        util::RngStream(grng()), kGridRepeats);
     auto out = model::autotune(m, ms);
     benchmark::DoNotOptimize(&out);
   }
@@ -191,7 +192,7 @@ Outputs run_pipeline(const hw::Soc& soc, const hw::PowerMon& pm, Run& run) {
 
   double t0 = now_ms();
   util::Rng rng(kCampaignSeed);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   ms[0] = now_ms() - t0;
 
   out.campaign_values.reserve(3 * campaign.size());
@@ -231,7 +232,8 @@ Outputs run_pipeline(const hw::Soc& soc, const hw::PowerMon& pm, Run& run) {
   util::Rng grng(kGridSeed);
   const auto grid = hw::full_grid();
   const auto measured =
-      model::measure_grid(soc, tune_workload(), grid, pm, grng, kGridRepeats);
+      model::measure_grid(soc, tune_workload(), grid, pm,
+                          util::RngStream(grng()), kGridRepeats);
   const auto tuned = model::autotune(fit.model, measured);
   ms[4] = now_ms() - t0;
   out.model_idx = tuned.model_idx;

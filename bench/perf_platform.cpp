@@ -38,7 +38,7 @@ void BM_PowerMonMeasure(benchmark::State& state) {
   const hw::PowerMon pm;
   util::Rng rng(1);
   for (auto _ : state) {
-    auto t = pm.measure(1.0, [](double) { return 7.0; }, rng);
+    auto t = pm.measure(1.0, 7.0, rng);
     benchmark::DoNotOptimize(&t);
   }
 }
@@ -49,7 +49,7 @@ void BM_PaperCampaign(benchmark::State& state) {
   const hw::PowerMon pm;
   for (auto _ : state) {
     util::Rng rng(2);
-    auto samples = ub::paper_campaign(soc, pm, rng);
+    auto samples = ub::paper_campaign(soc, pm, util::RngStream(rng()));
     benchmark::DoNotOptimize(samples.data());
   }
   state.SetLabel("1856 samples");

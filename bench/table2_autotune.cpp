@@ -40,7 +40,7 @@ int main() {
     for (const auto& point : sweep) {
       const auto ms =
           model::measure_grid(platform.soc, point.workload, grid,
-                              platform.pm, rng);
+                              platform.pm, util::RngStream(rng()));
       const auto out = model::autotune(platform.model, ms);
       if (!out.model_correct) {
         ++model_wrong;

@@ -4,10 +4,10 @@
 // the fitted energy model, and prints the per-phase time/energy breakdown
 // plus the instruction / data-access / constant-power decomposition -- the
 // kind of report a performance analyst would use to find energy bottlenecks.
-// With `--trace=out.json` (and/or `--trace-csv=prefix`) the whole run is
-// recorded to a chrome://tracing file: the six FMM phase spans with their
-// work tallies, the campaign cells, the fitted-model residuals, and the
-// PowerMon sample stream.
+// With `--trace=out.json` the whole run is recorded to a chrome://tracing
+// file: the six FMM phase spans with their work tallies, the campaign
+// cells, the fitted-model residuals, and one PowerMon power sample per
+// campaign cell.
 #include <cstdlib>
 #include <iostream>
 
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon meter;
   util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, meter, rng);
+  const auto campaign = ub::paper_campaign(soc, meter, util::RngStream(rng()));
   std::vector<model::FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)

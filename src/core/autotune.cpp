@@ -10,19 +10,10 @@ namespace eroof::model {
 std::vector<hw::Measurement> measure_grid(
     const hw::Soc& soc, const hw::Workload& w,
     std::span<const hw::DvfsSetting> grid, const hw::PowerMon& monitor,
-    util::Rng& rng, int repeats) {
-  return measure_grid(soc, w, grid, monitor, util::RngStream(rng()), repeats);
-}
-
-std::vector<hw::Measurement> measure_grid(
-    const hw::Soc& soc, const hw::Workload& w,
-    std::span<const hw::DvfsSetting> grid, const hw::PowerMon& monitor,
     const util::RngStream& root, int repeats) {
   EROOF_REQUIRE(repeats >= 1);
   const std::size_t nruns = grid.size() * static_cast<std::size_t>(repeats);
   std::vector<hw::Measurement> runs(nruns);
-  trace::TraceSession* ts = trace::session();
-  std::vector<hw::PowerTrace> traces(ts ? nruns : 0);
 
   const util::RngStream wl_stream = root.fork(w.name);
   std::vector<util::RngStream> setting_streams;
@@ -39,11 +30,10 @@ std::vector<hw::Measurement> measure_grid(
     const std::size_t r = static_cast<std::size_t>(run) %
                           static_cast<std::size_t>(repeats);
     const util::RngStream run_stream = setting_streams[i].fork(r);
-    runs[run] = soc.run(w, grid[i], monitor, run_stream,
-                        ts ? &traces[run] : nullptr);
+    runs[run] = soc.run(w, grid[i], monitor, run_stream);
   }
-  if (ts)
-    for (const auto& t : traces) hw::PowerMon::mirror_to_session(t);
+  if (trace::session())
+    for (const hw::Measurement& m : runs) hw::trace_measurement(m);
 
   // Average repeated runs, as a careful measurement campaign would: the
   // argmin over 105 settings is otherwise dominated by run-to-run noise.

@@ -126,11 +126,12 @@ void DynamicsEngine::measure_and_refresh() {
   const util::RngStream noise =
       util::RngStream(rcfg.measure_seed).fork("refresh").fork(step_idx);
   const hw::SequenceMeasurement seq = hot.run_sequence(
-      phases_, settings_, ctx.transitions, meter_, noise, &traces_);
-  // Serial mirror, phase order: trace counter totals replay bit for bit.
-  for (const hw::PowerTrace& t : traces_) hw::PowerMon::mirror_to_session(t);
-  for (const hw::Measurement& m : seq.phases)
+      phases_, settings_, ctx.transitions, meter_, noise);
+  // Serial, phase order: trace counter totals replay bit for bit.
+  for (const hw::Measurement& m : seq.phases) {
+    hw::trace_measurement(m);
     stats_.drift = refresh_->observe(model::to_fit_sample(m));
+  }
   if (rcfg.idle_probe && !ctx.grid.empty()) {
     // Full-grid rotation + magnitude normalization: the pi_0 probe must
     // cover voltages the schedule never visits, at phase-row weight (see

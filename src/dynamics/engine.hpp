@@ -17,10 +17,10 @@
 //
 // Tuning::refresh (opt-in) closes the *model* side of the same loop
 // (DESIGN.md §14): each tuned step additionally executes the installed
-// schedule on the SoC at the step's ThermalRamp leakage scale, mirrors the
-// per-phase PowerMon samples into the trace session, streams them into a
-// model::OnlineRefresh, and -- when the drift detector fires -- refits the
-// energy model and re-runs the chain DP, rebaselining through
+// schedule on the SoC at the step's ThermalRamp leakage scale, traces the
+// per-phase PowerMon measurements (hw::trace_measurement), streams them
+// into a model::OnlineRefresh, and -- when the drift detector fires --
+// refits the energy model and re-runs the chain DP, rebaselining through
 // ScheduleReuse::install. Work drift and model drift thus share one
 // install/reuse bookkeeping path.
 #pragma once
@@ -154,7 +154,6 @@ class DynamicsEngine {
   /// execution between searches).
   std::vector<hw::Workload> phases_;
   std::vector<hw::DvfsSetting> settings_;
-  std::vector<hw::PowerTrace> traces_;  ///< reused per-step trace buffer
   Stats stats_;
 };
 

@@ -6,7 +6,6 @@
 // energies differ from closed-form truth the way a physical campaign's would.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -23,7 +22,6 @@ struct PowerMonConfig {
 
 /// One completed measurement.
 struct PowerTrace {
-  double duration_s = 0;
   double energy_j = 0;              ///< trapezoidal integral of samples
   /// energy / duration; for a zero-duration probe (energy is exactly 0 by
   /// the trapezoid rule) it is the arithmetic mean of the samples instead,
@@ -41,8 +39,10 @@ class PowerMon {
 
   const PowerMonConfig& config() const { return cfg_; }
 
-  /// Samples `power_w(t)` over [0, duration_s] at the configured rate,
-  /// applying sensor noise and ADC quantization, and integrates.
+  /// Samples a constant `power_w` over [0, duration_s] at the configured
+  /// rate, applying sensor noise and ADC quantization, and integrates. No
+  /// trace-session interaction, so it is safe to call from parallel regions
+  /// (hw::trace_measurement records a finished measurement).
   ///
   /// Runs shorter than one sample period -- down to and including
   /// duration_s == 0 -- still bracket the run with the two endpoint
@@ -50,25 +50,7 @@ class PowerMon {
   /// this), so the trace never has an empty sample vector, its energy is
   /// the exact 2-point trapezoid 0.5 * (s0 + s1) * duration, and its
   /// average power stays finite. Negative durations are rejected.
-  PowerTrace measure(double duration_s,
-                     const std::function<double(double)>& power_w,
-                     util::Rng& rng) const;
-
-  /// Batched fast path for the (common) constant-power case: no per-sample
-  /// std::function dispatch and no trace-session interaction, so it is safe
-  /// to call from parallel regions. Same duration contract as measure():
-  /// sub-sample-period and zero-duration runs get the 2-point trapezoid. Callers that want the sample stream in
-  /// the trace mirror the returned PowerTrace later via mirror_to_session.
-  PowerTrace measure_constant(double duration_s, double power_w,
-                              util::Rng& rng) const;
-
-  /// Replays a completed trace into the installed trace session (no-op when
-  /// none is installed): the sample stream as a "power_w" counter track
-  /// anchored at the session's current wall-clock, plus the
-  /// powermon.samples / powermon.energy_j totals. Parallel campaigns buffer
-  /// PowerTraces and call this serially in cell order, which keeps counter
-  /// totals bitwise-identical to a sequential run.
-  static void mirror_to_session(const PowerTrace& trace);
+  PowerTrace measure(double duration_s, double power_w, util::Rng& rng) const;
 
  private:
   double quantize(double watts) const;

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "trace/trace.hpp"
 #include "util/require.hpp"
 
 namespace eroof::hw {
@@ -168,33 +169,24 @@ double Soc::true_energy_j(const Workload& w, const DvfsSetting& s,
          true_constant_power_w(s) * time_s;
 }
 
-Measurement Soc::run(const Workload& w, const DvfsSetting& s,
-                     const PowerMon& monitor, util::Rng& rng) const {
-  PowerTrace trace;
-  const Measurement m = run(w, s, monitor, util::RngStream(rng()), &trace);
-  PowerMon::mirror_to_session(trace);
-  return m;
+void trace_measurement(const Measurement& m) {
+  trace::TraceSession* ts = trace::session();
+  if (!ts) return;
+  ts->emit_counter("power_w", ts->now_us(), m.avg_power_w);
+  ts->add_counter_total("powermon.measurements", 1.0);
+  ts->add_counter_total("powermon.energy_j", m.energy_j);
 }
 
 SequenceMeasurement Soc::run_sequence(std::span<const Workload> phases,
                                       std::span<const DvfsSetting> settings,
                                       const DvfsTransitionModel& transitions,
                                       const PowerMon& monitor,
-                                      const util::RngStream& stream,
-                                      std::vector<PowerTrace>* traces_out)
-    const {
+                                      const util::RngStream& stream) const {
   EROOF_REQUIRE(phases.size() == settings.size());
   SequenceMeasurement out;
   out.phases.reserve(phases.size());
-  if (traces_out) {
-    traces_out->clear();
-    traces_out->reserve(phases.size());
-  }
   for (std::size_t i = 0; i < phases.size(); ++i) {
-    PowerTrace trace;
-    Measurement m = run(phases[i], settings[i], monitor, stream.fork(i),
-                        traces_out ? &trace : nullptr);
-    if (traces_out) traces_out->push_back(std::move(trace));
+    Measurement m = run(phases[i], settings[i], monitor, stream.fork(i));
     if (i > 0) {
       const int nd = transitions.changed_domains(settings[i - 1], settings[i]);
       if (nd > 0) {
@@ -215,8 +207,8 @@ SequenceMeasurement Soc::run_sequence(std::span<const Workload> phases,
 }
 
 Measurement Soc::run(const Workload& w, const DvfsSetting& s,
-                     const PowerMon& monitor, const util::RngStream& stream,
-                     PowerTrace* trace_out) const {
+                     const PowerMon& monitor,
+                     const util::RngStream& stream) const {
   util::Rng rng = stream.rng();
   const double time_s = execution_time(w, s) *
                         std::max(0.5, 1.0 + truth_.timing_jitter * rng.normal());
@@ -229,7 +221,7 @@ Measurement Soc::run(const Workload& w, const DvfsSetting& s,
       (1.0 + truth_.leak_power_coupling * (p_dyn - 3.0) +
        truth_.thermal_jitter * rng.normal());
 
-  PowerTrace trace = monitor.measure_constant(time_s, p_dyn + p_const, rng);
+  const PowerTrace trace = monitor.measure(time_s, p_dyn + p_const, rng);
 
   Measurement m;
   m.workload = w.name;
@@ -238,7 +230,6 @@ Measurement Soc::run(const Workload& w, const DvfsSetting& s,
   m.time_s = time_s;
   m.energy_j = trace.energy_j;
   m.avg_power_w = trace.avg_power_w;
-  if (trace_out) *trace_out = std::move(trace);
   return m;
 }
 

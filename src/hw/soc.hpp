@@ -108,6 +108,14 @@ struct Measurement {
   double avg_power_w = 0;
 };
 
+/// Records one measurement in the installed trace session (no-op when none
+/// is installed): a single "power_w" counter sample at the measurement's
+/// average power, stamped with the session's current wall-clock, plus the
+/// powermon.measurements / powermon.energy_j totals. Callers that measure
+/// in parallel call this serially in a fixed order afterwards, which keeps
+/// counter totals bitwise-identical to a sequential run.
+void trace_measurement(const Measurement& m);
+
 /// A measured multi-phase run under a per-phase DVFS schedule: the per-phase
 /// measurements plus the transition overheads the schedule paid.
 struct SequenceMeasurement {
@@ -176,22 +184,14 @@ class Soc {
   /// Executes the workload and measures it with `monitor`: returns the
   /// counter-visible op counts, the execution time, and the PowerMon
   /// energy (sampled, quantized, noisy; leakage sees thermal jitter).
-  ///
-  /// Legacy entry point: advances the shared sequential `rng` by one draw to
-  /// derive a per-run stream, then forwards to the stream overload and
-  /// mirrors the sample trace into any installed trace session.
+  /// All measurement noise is drawn from a private generator seeded by
+  /// `stream`, so the result depends only on the stream identity -- never
+  /// on what other runs executed before it. Safe to call concurrently.
+  /// Does not touch the trace session; callers that want the measurement
+  /// traced pass it to trace_measurement in a deterministic order.
   Measurement run(const Workload& w, const DvfsSetting& s,
-                  const PowerMon& monitor, util::Rng& rng) const;
-
-  /// Stream-based entry point: all measurement noise is drawn from a private
-  /// generator seeded by `stream`, so the result depends only on the stream
-  /// identity -- never on what other runs executed before it. Safe to call
-  /// concurrently. Does not touch the trace session; pass `trace_out` to
-  /// capture the PowerMon samples and mirror them later
-  /// (PowerMon::mirror_to_session) in a deterministic order.
-  Measurement run(const Workload& w, const DvfsSetting& s,
-                  const PowerMon& monitor, const util::RngStream& stream,
-                  PowerTrace* trace_out = nullptr) const;
+                  const PowerMon& monitor,
+                  const util::RngStream& stream) const;
 
   /// One measured execution of a *scheduled* run: phase i executes at
   /// settings[i], and every transition between consecutive differing
@@ -201,17 +201,11 @@ class Soc {
   /// stream.fork(i), so the result is bitwise-identical regardless of what
   /// else ran before -- the ground-truth validation path for the per-phase
   /// DVFS scheduler (core/schedule).
-  ///
-  /// When `traces_out` is non-null it is overwritten with one PowerTrace
-  /// per phase (the in-service sample streams the closed-loop refresh
-  /// mirrors into the trace session, serially, after the run).
   SequenceMeasurement run_sequence(std::span<const Workload> phases,
                                    std::span<const DvfsSetting> settings,
                                    const DvfsTransitionModel& transitions,
                                    const PowerMon& monitor,
-                                   const util::RngStream& stream,
-                                   std::vector<PowerTrace>* traces_out =
-                                       nullptr) const;
+                                   const util::RngStream& stream) const;
 
  private:
   double dynamic_power_w(const Workload& w, const DvfsSetting& s,

@@ -46,14 +46,16 @@ struct FmmRequest {
 enum class ServeStatus : std::uint8_t {
   kOk,       ///< solved; potentials are valid
   kShed,     ///< admission control rejected the request (queue full)
-  kInvalid,  ///< malformed request (empty/mismatched arrays, out-of-domain)
+  kInvalid,  ///< malformed request (see validate_request)
   kError,    ///< the solve failed server-side; `error` has the reason
 };
 
 /// Protocol validation: empty string when `req` is well-formed, otherwise a
 /// human-readable reason. Checks non-empty points, densities/points size
-/// agreement, and that every point lies inside kServeDomain -- the contract
-/// the fixed-root tree build depends on. The server runs this at admission
+/// agreement, `p` within the [3, 16] fmm::Operators accepts, a positive
+/// `max_points_per_box`, a finite kernel parameter, finite densities, and
+/// that every point lies inside kServeDomain -- the contract the fixed-root
+/// tree build depends on. The server runs this at admission
 /// (submit / serve_now) and answers violations with ServeStatus::kInvalid
 /// instead of letting a contract failure escape a worker thread.
 std::string validate_request(const FmmRequest& req);

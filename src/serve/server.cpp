@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -28,9 +29,16 @@ std::string validate_request(const FmmRequest& req) {
     return "densities/points size mismatch (" +
            std::to_string(req.densities.size()) + " vs " +
            std::to_string(req.points.size()) + ")";
+  if (req.p < 3 || req.p > 16)
+    return "p = " + std::to_string(req.p) + " outside [3, 16]";
+  if (req.max_points_per_box == 0) return "max_points_per_box must be >= 1";
+  if (!std::isfinite(req.kernel.param)) return "kernel parameter is not finite";
   for (std::size_t i = 0; i < req.points.size(); ++i)
     if (!kServeDomain.contains(req.points[i]))
       return "point " + std::to_string(i) + " outside the protocol domain";
+  for (std::size_t i = 0; i < req.densities.size(); ++i)
+    if (!std::isfinite(req.densities[i]))
+      return "density " + std::to_string(i) + " is not finite";
   return {};
 }
 

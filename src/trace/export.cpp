@@ -1,9 +1,9 @@
 #include "trace/export.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 namespace eroof::trace {
 namespace {
@@ -38,20 +38,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, pos - start));
-    start = pos + 1;
-  }
 }
 
 }  // namespace
@@ -100,85 +86,18 @@ bool write_chrome_trace(const TraceSession& session, const std::string& path) {
   return static_cast<bool>(out);
 }
 
-void write_spans_csv(const TraceSession& session, std::ostream& os) {
-  os << "name,category,tid,depth,start_us,dur_us,args\n";
-  for (const auto& s : session.spans()) {
-    os << s.name << "," << s.category << "," << s.tid << "," << s.depth << ","
-       << s.start_us << "," << s.dur_us << ",";
-    for (std::size_t i = 0; i < s.args.size(); ++i) {
-      if (i) os << ";";
-      os << s.args[i].key << "=" << num(s.args[i].value);
-    }
-    os << "\n";
-  }
-}
-
-void write_counters_csv(const TraceSession& session, std::ostream& os) {
-  os << "kind,name,t_us,value\n";
-  for (const auto& c : session.counter_samples())
-    os << "sample," << c.name << "," << c.t_us << "," << num(c.value) << "\n";
-  for (const auto& [name, value] : session.counter_totals())
-    os << "total," << name << ",0," << num(value) << "\n";
-}
-
-std::vector<SpanEvent> parse_spans_csv(std::istream& is) {
-  std::vector<SpanEvent> out;
-  std::string line;
-  std::getline(is, line);  // header
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto cells = split(line, ',');
-    if (cells.size() != 7) continue;
-    SpanEvent s;
-    s.name = cells[0];
-    s.category = cells[1];
-    s.tid = static_cast<std::uint32_t>(std::stoul(cells[2]));
-    s.depth = std::stoi(cells[3]);
-    s.start_us = std::stoll(cells[4]);
-    s.dur_us = std::stoll(cells[5]);
-    if (!cells[6].empty()) {
-      for (const auto& kv : split(cells[6], ';')) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) continue;
-        s.args.push_back(Arg{kv.substr(0, eq), std::stod(kv.substr(eq + 1))});
-      }
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-ParsedCounters parse_counters_csv(std::istream& is) {
-  ParsedCounters out;
-  std::string line;
-  std::getline(is, line);  // header
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto cells = split(line, ',');
-    if (cells.size() != 4) continue;
-    if (cells[0] == "sample")
-      out.samples.push_back(
-          CounterEvent{cells[1], std::stoll(cells[2]), std::stod(cells[3])});
-    else if (cells[0] == "total")
-      out.totals[cells[1]] = std::stod(cells[3]);
-  }
-  return out;
-}
-
 CliTracer::CliTracer(int& argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a.rfind("--trace=", 0) == 0) {
       json_path_ = a.substr(std::strlen("--trace="));
-    } else if (a.rfind("--trace-csv=", 0) == 0) {
-      csv_prefix_ = a.substr(std::strlen("--trace-csv="));
     } else {
       argv[kept++] = argv[i];
     }
   }
   argc = kept;
-  if (!json_path_.empty() || !csv_prefix_.empty()) {
+  if (!json_path_.empty()) {
     session_ = std::make_unique<TraceSession>();
     install(session_.get());
   }
@@ -187,22 +106,12 @@ CliTracer::CliTracer(int& argc, char** argv) {
 CliTracer::~CliTracer() {
   if (!session_) return;
   install(nullptr);
-  if (!json_path_.empty()) {
-    if (write_chrome_trace(*session_, json_path_))
-      std::cerr << "trace: wrote " << json_path_ << " ("
-                << session_->spans().size() << " spans, "
-                << session_->counter_samples().size() << " counter samples)\n";
-    else
-      std::cerr << "trace: FAILED to write " << json_path_ << "\n";
-  }
-  if (!csv_prefix_.empty()) {
-    std::ofstream sp(csv_prefix_ + ".spans.csv");
-    write_spans_csv(*session_, sp);
-    std::ofstream co(csv_prefix_ + ".counters.csv");
-    write_counters_csv(*session_, co);
-    std::cerr << "trace: wrote " << csv_prefix_ << ".spans.csv / "
-              << csv_prefix_ << ".counters.csv\n";
-  }
+  if (write_chrome_trace(*session_, json_path_))
+    std::cerr << "trace: wrote " << json_path_ << " ("
+              << session_->spans().size() << " spans, "
+              << session_->counter_samples().size() << " counter samples)\n";
+  else
+    std::cerr << "trace: FAILED to write " << json_path_ << "\n";
 }
 
 }  // namespace eroof::trace

@@ -1,11 +1,8 @@
-// Exporters for TraceSession: chrome://tracing JSON and CSV.
+// The TraceSession exporter: chrome://tracing JSON.
 //
-// The JSON exporter emits the Trace Event Format that chrome://tracing /
-// Perfetto load directly: spans become complete ("ph":"X") events, counter
-// samples become counter ("ph":"C") events, and the registry totals ride in
-// "otherData". The CSV exporters write one flat table per event kind so the
-// numbers can be regridded with any plotting tool; matching parsers are
-// provided so regression tests can round-trip a session through disk.
+// It emits the Trace Event Format that chrome://tracing / Perfetto load
+// directly: spans become complete ("ph":"X") events, counter samples become
+// counter ("ph":"C") events, and the registry totals ride in "otherData".
 #pragma once
 
 #include <iosfwd>
@@ -22,30 +19,12 @@ void write_chrome_trace(const TraceSession& session, std::ostream& os);
 /// Same, to a file. Returns false if the file could not be written.
 bool write_chrome_trace(const TraceSession& session, const std::string& path);
 
-/// Spans as CSV: name,category,tid,depth,start_us,dur_us,args where args is
-/// `key=value` pairs joined by ';' (doubles printed with 17 significant
-/// digits so parse_spans_csv round-trips bit-exactly).
-void write_spans_csv(const TraceSession& session, std::ostream& os);
-
-/// Counter samples and registry totals as CSV: kind,name,t_us,value with
-/// kind "sample" or "total" (totals carry t_us 0).
-void write_counters_csv(const TraceSession& session, std::ostream& os);
-
-/// Inverse of write_spans_csv / write_counters_csv (header line expected).
-std::vector<SpanEvent> parse_spans_csv(std::istream& is);
-struct ParsedCounters {
-  std::vector<CounterEvent> samples;
-  std::map<std::string, double> totals;
-};
-ParsedCounters parse_counters_csv(std::istream& is);
-
 /// Command-line tracing for the bench/example binaries.
 ///
-/// Scans argv for `--trace=FILE` (chrome JSON) and `--trace-csv=PREFIX`
-/// (writes PREFIX.spans.csv + PREFIX.counters.csv), removes the flags so
+/// Scans argv for `--trace=FILE` (chrome JSON), removes the flag so
 /// positional-argument parsing keeps working, and installs a session for the
-/// tracer's lifetime when either flag is present. The destructor writes the
-/// requested files and reports them on stderr.
+/// tracer's lifetime when it is present. The destructor writes the file and
+/// reports it on stderr.
 class CliTracer {
  public:
   CliTracer(int& argc, char** argv);
@@ -58,7 +37,6 @@ class CliTracer {
 
  private:
   std::string json_path_;
-  std::string csv_prefix_;
   std::unique_ptr<TraceSession> session_;
 };
 

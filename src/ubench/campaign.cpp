@@ -10,25 +10,11 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
                                  const std::vector<BenchPoint>& points,
                                  const std::vector<hw::LabeledSetting>& settings,
                                  const hw::PowerMon& monitor,
-                                 util::Rng& rng) {
-  return run_campaign(soc, points, settings, monitor, util::RngStream(rng()));
-}
-
-std::vector<Sample> run_campaign(const hw::Soc& soc,
-                                 const std::vector<BenchPoint>& points,
-                                 const std::vector<hw::LabeledSetting>& settings,
-                                 const hw::PowerMon& monitor,
                                  const util::RngStream& root) {
   trace::ScopedSpan campaign_span("run_campaign", "ubench");
   const std::size_t npoints = points.size();
   const std::size_t ncells = points.size() * settings.size();
   std::vector<Sample> samples(ncells);
-
-  // PowerMon sample streams are buffered per cell during the parallel loop
-  // and mirrored into the session serially afterwards; only pay for the
-  // buffers when a session is actually installed.
-  trace::TraceSession* ts = trace::session();
-  std::vector<hw::PowerTrace> traces(ts ? ncells : 0);
 
   // Hoist the per-setting forks: label() formats through an ostringstream,
   // so deriving it once per setting instead of once per cell matters at
@@ -56,15 +42,14 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
     s.cls = p.cls;
     s.intensity = p.intensity;
     s.role = role;
-    s.meas = soc.run(p.workload, setting, monitor, cell_stream,
-                     ts ? &traces[cell] : nullptr);
+    s.meas = soc.run(p.workload, setting, monitor, cell_stream);
     samples[cell] = std::move(s);
   }
   // eroof: hot-end
 
-  if (ts) {
-    // Serial replay in cell order: one span per campaign cell plus the
-    // counter totals, exactly as the sequential implementation emitted them.
+  if (trace::session()) {
+    // Serial replay in cell order: one span and one PowerMon measurement per
+    // campaign cell plus the counter totals, so totals replay bit for bit.
     for (std::size_t cell = 0; cell < ncells; ++cell) {
       const auto& [role, setting] = settings[cell / npoints];
       const BenchPoint& p = points[cell % npoints];
@@ -78,7 +63,7 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
       trace::counter_add("ubench.samples", 1);
       trace::counter_add("ubench.energy_j", s.meas.energy_j);
       trace::counter_add("ubench.time_s", s.meas.time_s);
-      hw::PowerMon::mirror_to_session(traces[cell]);
+      hw::trace_measurement(s.meas);
     }
   }
 
@@ -87,12 +72,6 @@ std::vector<Sample> run_campaign(const hw::Soc& soc,
     campaign_span.arg("settings", static_cast<double>(settings.size()));
   }
   return samples;
-}
-
-std::vector<Sample> paper_campaign(const hw::Soc& soc,
-                                   const hw::PowerMon& monitor,
-                                   util::Rng& rng) {
-  return paper_campaign(soc, monitor, util::RngStream(rng()));
 }
 
 std::vector<Sample> paper_campaign(const hw::Soc& soc,

@@ -14,7 +14,7 @@ EnergyModel fitted_model() {
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   util::Rng rng(42);
-  const auto campaign = ub::paper_campaign(soc, pm, rng);
+  const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
   std::vector<FitSample> train;
   for (const auto& s : campaign)
     if (s.role == hw::SettingRole::kTrain)
@@ -31,7 +31,7 @@ TEST(Autotune, GridMeasurementCoversAllSettings) {
   w.ops[hw::OpClass::kSpFlop] = 1e9;
   w.ops[hw::OpClass::kDramAccess] = 64e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(rng()));
   EXPECT_EQ(ms.size(), 105u);
 }
 
@@ -43,7 +43,7 @@ TEST(Autotune, BestIndexIsTheMeasuredArgmin) {
   w.name = "at_argmin";
   w.ops[hw::OpClass::kDramAccess] = 256e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(rng()));
   const TuneOutcome out = autotune(fitted_model(), ms);
   for (const auto& m : ms)
     EXPECT_GE(m.energy_j, ms[out.best_idx].energy_j);
@@ -62,7 +62,7 @@ TEST(Autotune, MemoryBoundWorkloadShouldNotRaceCoreClock) {
   w.ops[hw::OpClass::kDramAccess] = 512e6;
   w.ops[hw::OpClass::kIntOp] = 1e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(rng()));
   const TuneOutcome out = autotune(fitted_model(), ms);
 
   EXPECT_LT(ms[out.model_idx].setting.core.freq_mhz, 400);
@@ -78,7 +78,7 @@ TEST(Autotune, ComputeBoundWorkloadShouldNotRaceMemClock) {
   w.ops[hw::OpClass::kSpFlop] = 6e10;
   w.ops[hw::OpClass::kDramAccess] = 1e6;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(rng()));
   const TuneOutcome out = autotune(fitted_model(), ms);
   // The memory ladder's low rungs cost least here.
   EXPECT_LT(ms[out.model_idx].setting.mem.freq_mhz, 500);
@@ -92,7 +92,7 @@ TEST(Autotune, LostPctZeroWhenChoiceIsBest) {
   w.name = "at_zero";
   w.ops[hw::OpClass::kL2Access] = 4e8;
   const auto grid = hw::full_grid();
-  const auto ms = measure_grid(soc, w, grid, pm, rng);
+  const auto ms = measure_grid(soc, w, grid, pm, util::RngStream(rng()));
   const TuneOutcome out = autotune(fitted_model(), ms);
   if (out.model_correct) {
     EXPECT_LE(out.model_lost_pct, 0.5);

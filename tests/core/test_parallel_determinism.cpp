@@ -215,8 +215,8 @@ TEST(ParallelDeterminism, MeasureGridInvariantUnderGridOrder) {
 }
 
 TEST(ParallelDeterminism, LegacyRngEntryPointsStillReplayFromSeed) {
-  // The Rng& shims draw one root value and forward; two runs from the same
-  // seed must still agree exactly.
+  // Callers holding a sequential util::Rng draw one root value from it to
+  // seed the stream; two runs from the same seed must still agree exactly.
   const auto soc = hw::Soc::tegra_k1();
   const hw::PowerMon pm;
   const auto points = small_suite();
@@ -224,7 +224,7 @@ TEST(ParallelDeterminism, LegacyRngEntryPointsStillReplayFromSeed) {
       hw::table1_settings().begin(), hw::table1_settings().begin() + 2);
   const auto run_once = [&] {
     util::Rng rng(99);
-    return ub::run_campaign(soc, points, settings, pm, rng);
+    return ub::run_campaign(soc, points, settings, pm, util::RngStream(rng()));
   };
   expect_samples_bit_equal(run_once(), run_once());
 }

@@ -63,8 +63,8 @@ TEST(SocActivity, MeasuredRunsVaryButTightly) {
   util::Rng rng(5);
   const Workload w = named("noisy_kernel");
   const auto s = setting(540, 528);
-  const auto m1 = soc.run(w, s, pm, rng);
-  const auto m2 = soc.run(w, s, pm, rng);
+  const auto m1 = soc.run(w, s, pm, util::RngStream(rng()));
+  const auto m2 = soc.run(w, s, pm, util::RngStream(rng()));
   EXPECT_NE(m1.energy_j, m2.energy_j);  // real noise
   EXPECT_NEAR(m1.energy_j, m2.energy_j, 0.1 * m1.energy_j);  // but small
 }

@@ -27,7 +27,7 @@ struct Pipeline {
 
   Pipeline() {
     util::Rng rng(42);
-    const auto campaign = ub::paper_campaign(soc, pm, rng);
+    const auto campaign = ub::paper_campaign(soc, pm, util::RngStream(rng()));
     for (const auto& s : campaign) {
       const auto fs = model::to_fit_sample(s.meas);
       (s.role == hw::SettingRole::kTrain ? train : val).push_back(fs);
@@ -79,7 +79,8 @@ TEST(Pipeline, FmmEnergyPredictedWithinPaperBand) {
     double e_meas = 0;
     hw::OpCounts ops;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, setting, p.pm, rng);
+      const auto m =
+          p.soc.run(ph.workload, setting, p.pm, util::RngStream(rng()));
       t_total += m.time_s;
       e_meas += m.energy_j;
       ops += ph.workload.ops;
@@ -146,7 +147,8 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
     double t = 0;
     double e = 0;
     for (const auto& ph : run.profile.phases) {
-      const auto m = p.soc.run(ph.workload, grid[i], p.pm, rng);
+      const auto m =
+          p.soc.run(ph.workload, grid[i], p.pm, util::RngStream(rng()));
       t += m.time_s;
       e += m.energy_j;
     }
@@ -165,8 +167,8 @@ TEST(Pipeline, FmmBestEnergyIsBestTimeSetting) {
   double e_at_tbest = 0;
   util::Rng rng2(14);
   for (const auto& ph : run.profile.phases)
-    e_at_tbest +=
-        p.soc.run(ph.workload, grid[best_t_idx], p.pm, rng2).energy_j;
+    e_at_tbest += p.soc.run(ph.workload, grid[best_t_idx], p.pm,
+                            util::RngStream(rng2())).energy_j;
   EXPECT_LT(e_at_tbest, 1.05 * best_e)
       << "time-best " << grid[best_t_idx].label() << " vs energy-best "
       << grid[best_e_idx].label();

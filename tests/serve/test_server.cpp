@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -251,6 +252,45 @@ TEST(FmmServer, InvalidRequestsAreRejectedAtAdmissionNotCrashed) {
   EXPECT_EQ(stats.invalid, 4u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.served, 1u);
+}
+
+TEST(FmmServer, AdmissionRejectsBadOrderLeafSizeAndNonFiniteInputs) {
+  // Each of these used to pass admission: Q = 0 and an out-of-range p then
+  // tripped a contract inside the worker (kError), and non-finite densities
+  // or kernel parameters were solved into non-finite potentials.
+  const WorkloadConfig wl = small_workload();
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 8;
+  FmmServer server(cfg);
+
+  std::vector<FmmRequest> bad(6, make_request(wl, 0));
+  bad[0].max_points_per_box = 0;
+  bad[1].p = 2;
+  bad[2].p = 17;
+  bad[3].densities[5] = std::numeric_limits<double>::quiet_NaN();
+  bad[4].densities[0] = std::numeric_limits<double>::infinity();
+  bad[5].kernel = {KernelKind::kYukawa,
+                   std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(validate_request(bad[i]).empty()) << "case " << i;
+    const FmmResponse resp = server.submit(bad[i]).get();
+    EXPECT_EQ(resp.status, ServeStatus::kInvalid) << "case " << i;
+    EXPECT_FALSE(resp.error.empty()) << "case " << i;
+    EXPECT_TRUE(resp.potentials.empty()) << "case " << i;
+  }
+
+  // The bounds themselves are admitted.
+  FmmRequest edge = make_request(wl, 0);
+  edge.p = 3;
+  edge.max_points_per_box = 1;
+  EXPECT_TRUE(validate_request(edge).empty());
+  edge.p = 16;
+  EXPECT_TRUE(validate_request(edge).empty());
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.invalid, bad.size());
+  EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST(FmmServer, ValidateRequestEnforcesTheProtocolDomain) {

@@ -3,6 +3,8 @@
 // run twice at a fixed seed and its trace counter registry must match
 // bit-for-bit -- including across OMP_NUM_THREADS variation -- so thread
 // scheduling or future refactors cannot silently change the paper numbers.
+// The traced measurement paths (campaign, measure_grid) replay the same way
+// and emit exactly one power_w sample per PowerMon measurement.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +16,7 @@
 #include <omp.h>
 #endif
 
+#include "core/autotune.hpp"
 #include "fmm/evaluator.hpp"
 #include "fmm/gpu_profile.hpp"
 #include "fmm/pointgen.hpp"
@@ -112,30 +115,86 @@ TEST(Determinism, Fig4PipelineCountersBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(bit_equal(serial.phi[i], parallel.phi[i])) << i;
 }
 
+/// Counter totals plus the number of "power_w" samples of one traced run.
+struct TracedRun {
+  std::map<std::string, double> totals;
+  std::size_t power_samples = 0;
+};
+
+TracedRun collect(const trace::TraceSession& session) {
+  TracedRun out;
+  out.totals = session.counter_totals();
+  for (const auto& c : session.counter_samples())
+    if (c.name == "power_w") ++out.power_samples;
+  return out;
+}
+
 TEST(Determinism, CampaignAndPowerMonCountersReplayFromSeed) {
-  const auto run_once = [] {
+  auto points = ub::intensity_sweep(ub::BenchClass::kSpFlops, 8e6);
+  if (points.size() > 4) points.resize(4);
+  const std::vector<hw::LabeledSetting> settings(
+      hw::table1_settings().begin(), hw::table1_settings().begin() + 2);
+  const auto run_once = [&] {
     const auto soc = hw::Soc::tegra_k1();
     const hw::PowerMon pm;
     util::Rng rng(7);
-    auto points = ub::intensity_sweep(ub::BenchClass::kSpFlops, 8e6);
-    if (points.size() > 4) points.resize(4);
-    const std::vector<hw::LabeledSetting> settings(
-        hw::table1_settings().begin(), hw::table1_settings().begin() + 2);
-
     trace::TraceSession session;
     {
       trace::SessionGuard guard(session);
-      (void)ub::run_campaign(soc, points, settings, pm, rng);
+      (void)ub::run_campaign(soc, points, settings, pm,
+                             util::RngStream(rng()));
     }
-    return session.counter_totals();
+    return collect(session);
   };
 
   const auto a = run_once();
   const auto b = run_once();
-  ASSERT_FALSE(a.empty());
-  EXPECT_GT(a.count("ubench.samples"), 0u);
-  EXPECT_GT(a.count("powermon.samples"), 0u);
-  expect_bitwise_equal(a, b);
+  const std::size_t cells = points.size() * settings.size();
+  ASSERT_FALSE(a.totals.empty());
+  // One PowerMon measurement -- one power_w sample -- per campaign cell.
+  EXPECT_EQ(a.power_samples, cells);
+  EXPECT_EQ(a.totals.at("ubench.samples"), static_cast<double>(cells));
+  EXPECT_EQ(a.totals.at("powermon.measurements"), static_cast<double>(cells));
+  // Both totals sum the same cell energies in the same order.
+  EXPECT_TRUE(bit_equal(a.totals.at("powermon.energy_j"),
+                        a.totals.at("ubench.energy_j")));
+  expect_bitwise_equal(a.totals, b.totals);
+}
+
+TEST(Determinism, MeasureGridTracesOneSamplePerRunAcrossThreadCounts) {
+  constexpr int kRepeats = 3;
+  const auto full = hw::full_grid();
+  const std::vector<hw::DvfsSetting> grid(full.begin(), full.begin() + 6);
+  const auto run_grid = [&](int num_threads) {
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(num_threads);
+#else
+    (void)num_threads;
+#endif
+    const auto soc = hw::Soc::tegra_k1();
+    const hw::PowerMon pm;
+    const auto w = ub::intensity_sweep(ub::BenchClass::kSpFlops)[0].workload;
+    trace::TraceSession session;
+    {
+      trace::SessionGuard guard(session);
+      (void)model::measure_grid(soc, w, grid, pm, util::RngStream(17),
+                                kRepeats);
+    }
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    return collect(session);
+  };
+
+  const auto serial = run_grid(1);
+  const auto parallel = run_grid(4);
+  const std::size_t runs = grid.size() * kRepeats;
+  EXPECT_EQ(serial.power_samples, runs);
+  EXPECT_EQ(parallel.power_samples, runs);
+  EXPECT_EQ(serial.totals.at("powermon.measurements"),
+            static_cast<double>(runs));
+  expect_bitwise_equal(serial.totals, parallel.totals);
 }
 
 }  // namespace

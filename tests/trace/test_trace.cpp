@@ -1,9 +1,8 @@
 // Unit tests for the tracing & metrics subsystem: span nesting, the
 // named-counter registry, concurrent emission from OpenMP threads, and the
-// JSON / CSV exporters (including a bit-exact CSV round-trip).
+// chrome-trace JSON exporter.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -16,10 +15,6 @@
 
 namespace eroof::trace {
 namespace {
-
-bool bit_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
 
 std::size_t count_occurrences(const std::string& hay, const std::string& pat) {
   std::size_t n = 0;
@@ -200,51 +195,6 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
   EXPECT_TRUE(json_brackets_balanced(json)) << json;
   // The raw quote and newline in the span name must have been escaped.
   EXPECT_NE(json.find("phase \\\"A\\\"\\n"), std::string::npos);
-}
-
-TEST(Trace, CsvExportersRoundTripBitExactly) {
-  TraceSession s;
-  {
-    SessionGuard guard(s);
-    ScopedSpan a("span_a", "cat.x");
-    a.arg("third", 1.0 / 3.0);
-    a.arg("avogadro", 6.02214076e23);
-    a.arg("tiny", 1.0e-17);
-    { ScopedSpan b("span_b", "cat.y"); }
-  }
-  s.emit_counter("power_w", 123, 4.0 / 7.0);
-  s.add_counter_total("totals.pi_ish", 3.14159265358979312);
-
-  std::stringstream sp_csv;
-  write_spans_csv(s, sp_csv);
-  const auto spans = parse_spans_csv(sp_csv);
-  const auto orig = s.spans();
-  ASSERT_EQ(spans.size(), orig.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].name, orig[i].name);
-    EXPECT_EQ(spans[i].category, orig[i].category);
-    EXPECT_EQ(spans[i].tid, orig[i].tid);
-    EXPECT_EQ(spans[i].depth, orig[i].depth);
-    EXPECT_EQ(spans[i].start_us, orig[i].start_us);
-    EXPECT_EQ(spans[i].dur_us, orig[i].dur_us);
-    ASSERT_EQ(spans[i].args.size(), orig[i].args.size());
-    for (std::size_t j = 0; j < spans[i].args.size(); ++j) {
-      EXPECT_EQ(spans[i].args[j].key, orig[i].args[j].key);
-      EXPECT_TRUE(bit_equal(spans[i].args[j].value, orig[i].args[j].value))
-          << spans[i].args[j].key;
-    }
-  }
-
-  std::stringstream co_csv;
-  write_counters_csv(s, co_csv);
-  const auto counters = parse_counters_csv(co_csv);
-  ASSERT_EQ(counters.samples.size(), 1u);
-  EXPECT_EQ(counters.samples[0].name, "power_w");
-  EXPECT_EQ(counters.samples[0].t_us, 123);
-  EXPECT_TRUE(bit_equal(counters.samples[0].value, 4.0 / 7.0));
-  ASSERT_EQ(counters.totals.size(), 1u);
-  EXPECT_TRUE(bit_equal(counters.totals.at("totals.pi_ish"),
-                        3.14159265358979312));
 }
 
 }  // namespace
