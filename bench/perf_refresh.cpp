@@ -164,14 +164,14 @@ SectionResult run_section(const SeedFit& seed,
   const auto grid = hw::full_grid();
   const hw::DvfsTransitionModel tm{100e-6, 50e-6};
 
-  model::ClosedLoopConfig cfg;
+  model::OnlineRefreshConfig cfg;
   // First refit only after the probe rotation has covered a meaningful
   // slice of the grid: a refit from a still-underdetermined stream can
   // spuriously predict a >deadband improvement and install a worse
   // schedule (steeper ramps concentrate the drift into fewer, less
   // identified observations).
-  cfg.online.min_observations = 32;
-  cfg.online.cooldown = 16;
+  cfg.min_observations = 32;
+  cfg.cooldown = 16;
   model::ClosedLoopScheduler loop(seed.model, soc, grid, tm, phases, cfg);
   loop.seed_anchor(seed.train);
   const model::PhaseSchedule static_sched = loop.schedule();

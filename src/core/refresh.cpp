@@ -179,14 +179,12 @@ ClosedLoopScheduler::ClosedLoopScheduler(EnergyModel seed, hw::Soc soc,
                                          std::vector<hw::DvfsSetting> grid,
                                          hw::DvfsTransitionModel transitions,
                                          std::vector<hw::Workload> phases,
-                                         ClosedLoopConfig cfg)
+                                         OnlineRefreshConfig cfg)
     : soc_(std::move(soc)),
       grid_(std::move(grid)),
       transitions_(transitions),
       phases_(std::move(phases)),
-      cfg_(cfg),
-      meter_(cfg.meter),
-      refresh_(seed, cfg.online) {
+      refresh_(seed, cfg) {
   EROOF_REQUIRE(!grid_.empty());
   EROOF_REQUIRE(!phases_.empty());
   install();
@@ -195,15 +193,13 @@ ClosedLoopScheduler::ClosedLoopScheduler(EnergyModel seed, hw::Soc soc,
 void ClosedLoopScheduler::install() {
   const PhaseGridPrediction pred =
       predict_phase_grid(refresh_.model(), soc_, phases_, grid_);
-  PhaseSchedule fresh = schedule_phases(pred, transitions_, cfg_.time_weight);
-  if (!schedule_.pick.empty() && cfg_.install_deadband > 0) {
+  PhaseSchedule fresh = schedule_phases(pred, transitions_);
+  if (!schedule_.pick.empty()) {
     // Hysteresis: keep the installed schedule unless the refreshed model
-    // predicts a real improvement from switching (see ClosedLoopConfig).
-    const double cur = schedule_objective(pred, transitions_, schedule_.pick,
-                                          cfg_.time_weight);
-    const double alt = schedule_objective(pred, transitions_, fresh.pick,
-                                          cfg_.time_weight);
-    if (alt >= cur * (1.0 - cfg_.install_deadband)) return;
+    // predicts a real improvement from switching (see kInstallDeadband).
+    const double cur = schedule_objective(pred, transitions_, schedule_.pick);
+    const double alt = schedule_objective(pred, transitions_, fresh.pick);
+    if (alt >= cur * (1.0 - kInstallDeadband)) return;
   }
   schedule_ = std::move(fresh);
   settings_.resize(schedule_.pick.size());
@@ -223,15 +219,13 @@ ClosedLoopScheduler::StepReport ClosedLoopScheduler::step(
   rep.measured_time_s = seq.time_s;
   for (const hw::Measurement& m : seq.phases)
     rep.drift = refresh_.observe(to_fit_sample(m));
-  if (cfg_.idle_probe && !grid_.empty()) {
-    // Rotate the probed setting through the *full* grid, not just the
-    // schedule's picks: the pi_0 rows must cover voltages the schedule
-    // never visits, or the refit cannot extrapolate constant power there.
-    const hw::DvfsSetting s = grid_[steps_ % grid_.size()];
-    const hw::Measurement m =
-        hot.run(idle_probe_workload(), s, meter_, noise.fork("idle"));
-    rep.drift = refresh_.observe(probe_fit_sample(m));
-  }
+  // Rotate the probed setting through the *full* grid, not just the
+  // schedule's picks: the pi_0 rows must cover voltages the schedule never
+  // visits, or the refit cannot extrapolate constant power there.
+  const hw::DvfsSetting probed = grid_[steps_ % grid_.size()];
+  const hw::Measurement probe =
+      hot.run(idle_probe_workload(), probed, meter_, noise.fork("idle"));
+  rep.drift = refresh_.observe(probe_fit_sample(probe));
   if (refresh_.should_refresh()) {
     refresh_.refresh();
     install();

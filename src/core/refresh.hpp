@@ -38,11 +38,11 @@
 // Identifiability: an in-service schedule visits only a handful of the 105
 // grid settings, so the streamed rows alone underdetermine the 9-column
 // system (the three constant-power columns are nearly collinear at a fixed
-// voltage). Two mitigations, both optional: an *anchor* -- the seed
-// campaign's Gram folded in at a fixed fraction of the live stream's weight
-// -- and an *idle probe*, a zero-op kernel whose measurement is a pure
-// pi_0 row at the probed voltage (its sub-sample-period duration exercises
-// PowerMon's 2-point-trapezoid contract).
+// voltage). Two mitigations: an optional *anchor* -- the seed campaign's
+// Gram folded in at a fixed fraction of the live stream's weight -- and an
+// *idle probe* appended to every step, a zero-op kernel whose measurement
+// is a pure pi_0 row at the probed voltage (its sub-sample-period duration
+// exercises PowerMon's 2-point-trapezoid contract).
 #pragma once
 
 #include <array>
@@ -192,27 +192,22 @@ PhaseGridPrediction oracle_phase_grid(const hw::Soc& soc,
                                       std::span<const hw::Workload> phases,
                                       std::span<const hw::DvfsSetting> grid);
 
-struct ClosedLoopConfig {
-  OnlineRefreshConfig online;
-  hw::PowerMonConfig meter;
-  double time_weight = 0;  ///< chain-DP objective (0 = pure energy)
-  bool idle_probe = true;  ///< append a pi_0 probe row each step
-  /// Install dead-band: after a refit, the fresh DP schedule replaces the
-  /// installed one only if the *new* model predicts at least this relative
-  /// improvement from switching. Refits move the coefficients a little
-  /// every time (measurement noise, the ground truth's voltage bend that a
-  /// linear-in-V pi_0 cannot express); without hysteresis the DP flips
-  /// between near-tied settings and the controller thrashes -- paying
-  /// transition costs, and occasionally pinning a bias-driven pick.
-  double install_deadband = 0.01;
-};
+/// Install dead-band of ClosedLoopScheduler: after a refit, the fresh DP
+/// schedule replaces the installed one only if the *new* model predicts at
+/// least this relative improvement from switching. Refits move the
+/// coefficients a little every time (measurement noise, the ground truth's
+/// voltage bend that a linear-in-V pi_0 cannot express); without hysteresis
+/// the DP flips between near-tied settings and the controller thrashes --
+/// paying transition costs, and occasionally pinning a bias-driven pick.
+inline constexpr double kInstallDeadband = 0.01;
 
 /// Reference closed-loop controller for a fixed phase chain: owns the
 /// installed chain-DP schedule and an OnlineRefresh. Each step executes the
-/// schedule on `soc.with_leakage_scale(leak_scale)` with measurement noise
-/// from the caller's stream, observes every phase (plus the rotating idle
-/// probe), and on a drift trigger refits + re-runs the DP. Everything is a
-/// pure function of (seed model, config, the per-step (leak_scale, stream)
+/// schedule on `soc.with_leakage_scale(leak_scale)`, measured by a default
+/// PowerMon with noise from the caller's stream, observes every phase (plus
+/// the rotating idle probe), and on a drift trigger refits + re-runs the
+/// pure-energy DP (installed past kInstallDeadband). Everything is a pure
+/// function of (seed model, config, the per-step (leak_scale, stream)
 /// arguments), bitwise-identical across OpenMP thread counts.
 class ClosedLoopScheduler {
  public:
@@ -220,7 +215,7 @@ class ClosedLoopScheduler {
                       std::vector<hw::DvfsSetting> grid,
                       hw::DvfsTransitionModel transitions,
                       std::vector<hw::Workload> phases,
-                      ClosedLoopConfig cfg = {});
+                      OnlineRefreshConfig cfg = {});
 
   /// Installs the seed campaign as the OnlineRefresh identifiability
   /// anchor (see OnlineRefresh::seed_anchor).
@@ -253,7 +248,6 @@ class ClosedLoopScheduler {
   std::vector<hw::DvfsSetting> grid_;
   hw::DvfsTransitionModel transitions_;
   std::vector<hw::Workload> phases_;
-  ClosedLoopConfig cfg_;
   hw::PowerMon meter_;
   OnlineRefresh refresh_;
   PhaseSchedule schedule_;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "trace/trace.hpp"
+#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 
 namespace eroof::model {
@@ -283,46 +285,19 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
   return cmp;
 }
 
-const PhaseSchedule& ScheduleMemo::schedule_for_plan(
-    const std::string& plan_key,
-    const std::function<PhaseSchedule()>& compute) {
-  // Counter bumps happen outside mu_: trace::counter_add acquires the
-  // process-wide trace mutex, and holding mu_ across it would stall every
-  // other memo lookup behind an unrelated tracing lock. Entries are never
-  // removed, so returning a reference read under the lock stays valid.
-  {
-    const PhaseSchedule* hit = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = memo_.find(plan_key);
-      if (it != memo_.end()) hit = it->second.get();
-    }
-    if (hit != nullptr) {
-      trace::counter_add("core.schedule_memo.hit", 1.0);
-      return *hit;
-    }
-  }
-  // Compute outside the lock; `compute` is deterministic, so if two threads
-  // race on a fresh key both produce the same schedule and the loser's copy
-  // is simply dropped.
-  auto result = std::make_unique<PhaseSchedule>(compute());
-  const PhaseSchedule* out = nullptr;
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto [it, ins] = memo_.try_emplace(plan_key, std::move(result));
-    inserted = ins;
-    out = it->second.get();
-  }
-  trace::counter_add(inserted ? "core.schedule_memo.miss"
-                              : "core.schedule_memo.hit",
-                     1.0);
-  return *out;
-}
-
-std::size_t ScheduleMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return memo_.size();
+std::shared_ptr<const ScheduleContext> ScheduleContext::tegra_default(
+    std::uint64_t campaign_seed) {
+  const auto soc = hw::Soc::tegra_k1();
+  const hw::PowerMon meter;
+  const util::RngStream root(campaign_seed);
+  std::vector<FitSample> train;
+  for (const auto& s : ub::paper_campaign(soc, meter, root))
+    if (s.role == hw::SettingRole::kTrain)
+      train.push_back(to_fit_sample(s.meas));
+  auto model = fit_energy_model(train).model;
+  return std::make_shared<const ScheduleContext>(ScheduleContext{
+      soc, model, hw::full_grid(), hw::DvfsTransitionModel{100e-6, 50e-6},
+      std::move(train)});
 }
 
 void ScheduleReuse::install(PhaseSchedule schedule,

@@ -26,14 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/fit.hpp"
 #include "core/model.hpp"
 #include "hw/soc.hpp"
 
@@ -154,29 +152,23 @@ ScheduleComparison compare_strategies(const EnergyModel& model,
                                       const hw::DvfsTransitionModel& transitions,
                                       double time_weight = 0);
 
-/// Memoized schedule-DP results keyed by a serving plan key (the string the
-/// plan cache keys on: kernel, accuracy, depth, domain). The schedule
-/// search -- GPU-profile prediction grid + chain DP -- depends only on the
-/// plan, not on one request's points, so its result is cached here and
-/// survives plan-cache eviction: a re-built plan skips the search entirely.
-///
-/// Thread-safe. The first caller for a key computes outside the lock (the
-/// search can take milliseconds); racing computations of the same key are
-/// harmless because `compute` must be deterministic -- the first insert
-/// wins and duplicates are dropped. Returned references are stable for the
-/// memo's lifetime (entries are never evicted; distinct plans are few).
-class ScheduleMemo {
- public:
-  const PhaseSchedule& schedule_for_plan(
-      const std::string& plan_key,
-      const std::function<PhaseSchedule()>& compute);
+/// Everything the per-phase schedule search needs, fitted once and shared
+/// read-only by the server's workers and the dynamics engine: the SoC
+/// model, the energy model fitted from the paper campaign's training half,
+/// the DVFS setting grid, the transition-cost model, and the training
+/// samples themselves (the closed refresh loop seeds its identifiability
+/// anchor with them; hand-built contexts may leave `campaign` empty).
+struct ScheduleContext {
+  hw::Soc soc;
+  EnergyModel model;
+  std::vector<hw::DvfsSetting> grid;
+  hw::DvfsTransitionModel transitions;
+  std::vector<FitSample> campaign;
 
-  /// Number of memoized keys (observability / tests).
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<PhaseSchedule>> memo_;
+  /// Tegra K1 SoC, model fitted from the seeded paper campaign, full clock
+  /// grid, realistic 100us/50uJ transitions.
+  static std::shared_ptr<const ScheduleContext> tegra_default(
+      std::uint64_t campaign_seed = 42);
 };
 
 /// Amortizes the schedule search across a *sequence* of correlated runs --

@@ -6,27 +6,10 @@
 #include "fmm/gpu_profile.hpp"
 #include "hw/powermon.hpp"
 #include "trace/trace.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace eroof::dynamics {
-
-std::shared_ptr<const TuneContext> TuneContext::tegra_default(
-    std::uint64_t campaign_seed) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const util::RngStream root(campaign_seed);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  auto model = model::fit_energy_model(train).model;
-  return std::make_shared<const TuneContext>(
-      TuneContext{soc, model, hw::full_grid(),
-                  hw::DvfsTransitionModel{100e-6, 50e-6}, std::move(train)});
-}
 
 DynamicsEngine::DynamicsEngine(std::shared_ptr<const fmm::Kernel> kernel,
                                ParticleSystem particles, Config cfg)
@@ -132,15 +115,13 @@ void DynamicsEngine::measure_and_refresh() {
     hw::trace_measurement(m);
     stats_.drift = refresh_->observe(model::to_fit_sample(m));
   }
-  if (rcfg.idle_probe && !ctx.grid.empty()) {
-    // Full-grid rotation + magnitude normalization: the pi_0 probe must
-    // cover voltages the schedule never visits, at phase-row weight (see
-    // model::probe_fit_sample).
-    const hw::DvfsSetting s = ctx.grid[step_idx % ctx.grid.size()];
-    const hw::Measurement m =
-        hot.run(model::idle_probe_workload(), s, meter_, noise.fork("idle"));
-    stats_.drift = refresh_->observe(model::probe_fit_sample(m));
-  }
+  // Full-grid rotation + magnitude normalization: the pi_0 probe must cover
+  // voltages the schedule never visits, at phase-row weight (see
+  // model::probe_fit_sample). The grid is non-empty: retune() priced it.
+  const hw::DvfsSetting probed = ctx.grid[step_idx % ctx.grid.size()];
+  const hw::Measurement probe = hot.run(model::idle_probe_workload(), probed,
+                                        meter_, noise.fork("idle"));
+  stats_.drift = refresh_->observe(model::probe_fit_sample(probe));
   stats_.measured_energy_j += seq.energy_j;
   stats_.measured_time_s += seq.time_s;
   stats_.last_leak_scale = scale;

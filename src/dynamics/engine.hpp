@@ -43,25 +43,8 @@
 
 namespace eroof::dynamics {
 
-/// Everything the per-phase schedule search needs, shared read-only across
-/// the run: SoC model, fitted energy model, DVFS grid, transition costs.
-/// Mirrors serve::ScheduleContext (serve depends on core+fmm like we do;
-/// neither layer may depend on the other).
-struct TuneContext {
-  hw::Soc soc;
-  model::EnergyModel model;
-  std::vector<hw::DvfsSetting> grid;
-  hw::DvfsTransitionModel transitions;
-  /// The training samples `model` was fitted from; the refresh loop seeds
-  /// its identifiability anchor with them. May be empty for hand-built
-  /// contexts (the anchor is then simply skipped).
-  std::vector<model::FitSample> campaign;
-
-  /// Tegra K1 SoC, model fitted from the seeded paper campaign, full clock
-  /// grid, realistic 100us/50uJ transitions.
-  static std::shared_ptr<const TuneContext> tegra_default(
-      std::uint64_t campaign_seed = 42);
-};
+/// The schedule search's inputs, shared read-only across the run.
+using TuneContext = model::ScheduleContext;
 
 class DynamicsEngine {
  public:
@@ -77,10 +60,9 @@ class DynamicsEngine {
       model::OnlineRefreshConfig online;
       /// Ground-truth die-temperature trajectory, indexed by step.
       hw::ThermalRamp ramp;
-      /// Root of the per-step PowerMon measurement-noise streams.
+      /// Root of the per-step PowerMon measurement-noise streams. Each
+      /// step's samples end with the rotating zero-op pi_0 probe.
       std::uint64_t measure_seed = 0;
-      /// Append the rotating zero-op pi_0 probe to each step's samples.
-      bool idle_probe = true;
     };
     Refresh refresh;
   };

@@ -1,12 +1,13 @@
 // Sharded, string-keyed LRU cache with build-once semantics.
 //
-// The serving plan cache's engine, kept generic: values are immutable
-// (shared_ptr<const V>) and built on demand by the first requester of a
-// key. Concurrent requesters of the same key never duplicate the build --
-// the first arrival inserts a promise and constructs the value *outside*
-// the shard lock (builds are expensive: operators, schedule search), while
-// later arrivals wait on the shared future. Keys hash to independent shards
-// so requests for different plans do not serialize on one mutex.
+// The engine of the server's plan and schedule caches, kept generic:
+// values are immutable (shared_ptr<const V>) and built on demand by the
+// first requester of a key. Concurrent requesters of the same key never
+// duplicate the build -- the first arrival inserts a promise and constructs
+// the value *outside* the shard lock (builds are expensive: operators,
+// schedule search), while later arrivals wait on the shared future. Keys
+// hash to independent shards so requests for different keys do not
+// serialize on one mutex.
 //
 // Eviction is LRU per shard (per-shard capacity = ceil(capacity/shards));
 // an evicted value stays alive for whoever still holds it -- eviction only
@@ -16,7 +17,8 @@
 // Counters: hits/misses/evictions are kept as atomics for stats() and
 // mirrored into the trace registry as "<prefix>.hit|miss|eviction" --
 // integer increments, so registry totals are exact under any thread
-// interleaving.
+// interleaving. They are bumped outside the shard lock: trace::counter_add
+// takes the process-wide trace mutex.
 #pragma once
 
 #include <atomic>
@@ -80,6 +82,7 @@ class ShardedLruCache {
     Shard& shard = shards_[util::fnv1a64(key) % shards_.size()];
     std::promise<std::shared_ptr<const V>> promise;
     std::uint64_t my_gen = 0;
+    std::size_t evicted = 0;
     {
       std::unique_lock<std::mutex> lock(shard.mu);
       const auto it = shard.map.find(key);
@@ -106,10 +109,11 @@ class ShardedLruCache {
         const std::string victim = shard.lru.back();
         shard.lru.pop_back();
         shard.map.erase(victim);
-        count(evictions_, ".eviction");
+        ++evicted;
       }
     }
 
+    for (; evicted > 0; --evicted) count(evictions_, ".eviction");
     count(misses_, ".miss");
     std::shared_ptr<const V> value;
     try {

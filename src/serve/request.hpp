@@ -64,7 +64,7 @@ std::string validate_request(const FmmRequest& req);
 /// UP,V,X,DOWN,U,W. Empty when the server runs without a schedule context.
 ///
 /// Determinism scope: only `potentials` carries the bitwise serving
-/// contract. The schedule is memoized per (plan key, point count) and
+/// contract. The schedule is cached per (plan key, point count) and
 /// profiled from the first request that reaches that pair, so two
 /// same-sized requests with different point *distributions* share the
 /// first arrival's schedule -- representative-based by design (the DP

@@ -9,11 +9,15 @@
 
 #include "fmm/gpu_profile.hpp"
 #include "trace/trace.hpp"
-#include "ubench/campaign.hpp"
 #include "util/require.hpp"
 
 namespace eroof::serve {
 namespace {
+
+/// Shards of both caches, and the schedule cache's fixed bound: 16 entries
+/// per shard.
+constexpr std::size_t kCacheShards = 4;
+constexpr std::size_t kScheduleCacheCapacity = 64;
 
 std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -42,27 +46,15 @@ std::string validate_request(const FmmRequest& req) {
   return {};
 }
 
-std::shared_ptr<const ScheduleContext> ScheduleContext::tegra_default(
-    std::uint64_t campaign_seed) {
-  const auto soc = hw::Soc::tegra_k1();
-  const hw::PowerMon meter;
-  const util::RngStream root(campaign_seed);
-  const auto campaign = ub::paper_campaign(soc, meter, root);
-  std::vector<model::FitSample> train;
-  for (const auto& s : campaign)
-    if (s.role == hw::SettingRole::kTrain)
-      train.push_back(model::to_fit_sample(s.meas));
-  return std::make_shared<const ScheduleContext>(
-      ScheduleContext{soc, model::fit_energy_model(train).model,
-                      hw::full_grid(), hw::DvfsTransitionModel{100e-6, 50e-6}});
-}
-
 FmmServer::FmmServer(ServerConfig cfg)
     : cfg_(cfg),
       queue_(cfg.queue_capacity),
       cache_({.capacity = cfg.plan_cache_capacity,
-              .shards = cfg.plan_cache_shards,
-              .counter_prefix = "serve.plan_cache"}) {
+              .shards = kCacheShards,
+              .counter_prefix = "serve.plan_cache"}),
+      schedules_({.capacity = kScheduleCacheCapacity,
+                  .shards = kCacheShards,
+                  .counter_prefix = "serve.schedule_cache"}) {
   EROOF_REQUIRE_MSG(cfg_.workers >= 1, "FmmServer needs >= 1 worker");
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
@@ -129,7 +121,7 @@ FmmServer::Stats FmmServer::stats() const {
           shed_.load(std::memory_order_relaxed),      // eroof-lint: allow(relaxed-atomic)
           invalid_.load(std::memory_order_relaxed),   // eroof-lint: allow(relaxed-atomic)
           errors_.load(std::memory_order_relaxed),    // eroof-lint: allow(relaxed-atomic)
-          cache_.stats()};
+          cache_.stats(), schedules_.stats()};
 }
 
 void FmmServer::worker_main() {
@@ -207,26 +199,28 @@ FmmResponse FmmServer::serve_one(FmmRequest req) {
 
   if (cfg_.schedule_ctx) {
     const ScheduleContext& ctx = *cfg_.schedule_ctx;
-    // Memoized per (plan key, point count), not per plan key alone: the
+    // Cached per (plan key, point count), not per plan key alone: the
     // profiled phase workloads depend on the request's size, so keying by
     // plan key only would make the reported schedule depend on which
     // request happened to build the plan (arrival order / cache state).
     // With N in the key, every repeat of a request shape reads the same
-    // memo entry. The residual representative-ness (same-N requests with
+    // entry until it is evicted; the shape's next request then searches
+    // again. The residual representative-ness (same-N requests with
     // different point *distributions* share the first arrival's schedule)
     // is documented on ServeSchedule; only potentials are bitwise.
-    const std::string skey =
-        key + "|n=" + std::to_string(req.points.size());
-    const model::PhaseSchedule& sched =
-        schedule_memo_.schedule_for_plan(skey, [&] {
-          const auto prof = fmm::profile_gpu_execution(ev);
-          std::vector<hw::Workload> phases;
-          phases.reserve(prof.phases.size());
-          for (const auto& ph : prof.phases) phases.push_back(ph.workload);
-          const auto pred =
-              model::predict_phase_grid(ctx.model, ctx.soc, phases, ctx.grid);
-          return model::schedule_phases(pred, ctx.transitions);
-        });
+    const auto search = [&] {
+      const auto prof = fmm::profile_gpu_execution(ev);
+      std::vector<hw::Workload> phases;
+      phases.reserve(prof.phases.size());
+      for (const auto& ph : prof.phases) phases.push_back(ph.workload);
+      const auto pred =
+          model::predict_phase_grid(ctx.model, ctx.soc, phases, ctx.grid);
+      return std::make_shared<const model::PhaseSchedule>(
+          model::schedule_phases(pred, ctx.transitions));
+    };
+    const auto cached_sched = schedules_.get_or_build(
+        key + "|n=" + std::to_string(req.points.size()), search);
+    const model::PhaseSchedule& sched = *cached_sched.value;
     resp.schedule.setting_labels.reserve(sched.pick.size());
     for (const std::size_t pick : sched.pick)
       resp.schedule.setting_labels.push_back(ctx.grid[pick].label());

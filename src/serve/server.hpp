@@ -6,10 +6,10 @@
 // request's plan. The headline mechanism is the plan cache: requests that
 // resolve to the same (kernel, accuracy, depth) key share one FmmPlan --
 // per-level operators and the M2L bank -- so a cache hit skips operator
-// construction. The schedule-DP result is memoized separately per (plan
-// key, point count): the first request with that shape profiles its phase
-// workloads and runs the DP once; every repeat of the shape skips the
-// search.
+// construction. The schedule-DP result is cached separately per (plan
+// key, point count) in a bounded LRU cache of the same kind: the first
+// request with that shape profiles its phase workloads and runs the DP
+// once; every repeat of the shape skips the search.
 //
 // Serving contract: each response's potentials are bitwise identical to a
 // fresh single-threaded FmmEvaluator run on the same request, independent
@@ -27,38 +27,27 @@
 #include <thread>
 #include <vector>
 
-#include "core/fit.hpp"
 #include "core/schedule.hpp"
 #include "fmm/evaluator.hpp"
-#include "hw/dvfs.hpp"
-#include "hw/soc.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 
 namespace eroof::serve {
 
-/// Everything the schedule search needs, fitted once and shared read-only by
-/// every worker: the SoC model, the energy model fitted from the paper
-/// campaign's training half, the DVFS setting grid, and the transition-cost
-/// model. Optional -- a server without one skips schedules (pure solving).
-struct ScheduleContext {
-  hw::Soc soc;
-  model::EnergyModel model;
-  std::vector<hw::DvfsSetting> grid;
-  hw::DvfsTransitionModel transitions;
+/// The schedule search's inputs (model::ScheduleContext). Optional -- a
+/// server without one skips schedules (pure solving).
+using ScheduleContext = model::ScheduleContext;
 
-  /// The default context: Tegra K1 SoC, model fitted from the seeded paper
-  /// campaign, full clock grid, realistic 100us/50uJ transitions.
-  static std::shared_ptr<const ScheduleContext> tegra_default(
-      std::uint64_t campaign_seed = 42);
-};
+/// Per-(plan key, point count) schedule cache. Its bound is fixed, not tied
+/// to the plan cache's: cold mode (plan_cache_capacity = 0) still reuses
+/// schedules, and client-chosen point counts cannot grow it without limit.
+using ScheduleCache = ShardedLruCache<model::PhaseSchedule>;
 
 struct ServerConfig {
   int workers = 1;
   std::size_t queue_capacity = 64;  ///< admission-control bound
   std::size_t plan_cache_capacity = 16;  ///< 0 = no caching (cold mode)
-  std::size_t plan_cache_shards = 4;
   std::shared_ptr<const ScheduleContext> schedule_ctx;  ///< may be null
 };
 
@@ -92,6 +81,7 @@ class FmmServer {
     std::uint64_t invalid = 0;  ///< rejected by validate_request at admission
     std::uint64_t errors = 0;   ///< solves that failed server-side (kError)
     PlanCache::Stats cache;
+    ScheduleCache::Stats schedule_cache;
   };
   Stats stats() const;
   std::size_t queue_depth() const { return queue_.depth(); }
@@ -118,7 +108,7 @@ class FmmServer {
   ServerConfig cfg_;
   BoundedQueue<Job> queue_;
   PlanCache cache_;
-  model::ScheduleMemo schedule_memo_;
+  ScheduleCache schedules_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> shed_{0};

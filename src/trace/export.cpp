@@ -1,6 +1,7 @@
 #include "trace/export.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -92,6 +93,11 @@ CliTracer::CliTracer(int& argc, char** argv) {
     const std::string_view a = argv[i];
     if (a.rfind("--trace=", 0) == 0) {
       json_path_ = a.substr(std::strlen("--trace="));
+    } else if (a.rfind("--", 0) == 0) {
+      // The callers take positional arguments only: a misspelled flag
+      // (`--trace-csv=x`, a bare `--trace`) must not run untraced silently.
+      std::cerr << "unknown flag: " << a << "\n";
+      std::exit(2);
     } else {
       argv[kept++] = argv[i];
     }

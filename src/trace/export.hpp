@@ -23,8 +23,9 @@ bool write_chrome_trace(const TraceSession& session, const std::string& path);
 ///
 /// Scans argv for `--trace=FILE` (chrome JSON), removes the flag so
 /// positional-argument parsing keeps working, and installs a session for the
-/// tracer's lifetime when it is present. The destructor writes the file and
-/// reports it on stderr.
+/// tracer's lifetime when it is present. Any other argument starting with
+/// `--` prints `unknown flag: <arg>` on stderr and exits with status 2. The
+/// destructor writes the file and reports it on stderr.
 class CliTracer {
  public:
   CliTracer(int& argc, char** argv);

@@ -313,9 +313,9 @@ LoopOutcome run_thermal_ramp(int steps) {
   const hw::ThermalRamp ramp{
       1.0, 5.0, 4, static_cast<std::uint64_t>(steps / 2), 0.0, 7};
 
-  ClosedLoopConfig cfg;
-  cfg.online.min_observations = 8;
-  cfg.online.cooldown = 8;
+  OnlineRefreshConfig cfg;
+  cfg.min_observations = 8;
+  cfg.cooldown = 8;
   ClosedLoopScheduler loop(seed_model(), soc, grid, tm, phases, cfg);
   loop.seed_anchor(campaign_train());
   // The frozen baseline: the loop's step-0 schedule, never revisited.

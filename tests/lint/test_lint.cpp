@@ -462,15 +462,16 @@ TEST(LintBinary, RealTreeHasNoStaleAllowsUnderStrict) {
   EXPECT_EQ(r.exit_code, 0) << r.out;
 }
 
-TEST(LintBinary, ScheduleMemoStaysFreeOfBlockingUnderLock) {
+TEST(LintBinary, ShardedLruCacheStaysFreeOfBlockingUnderLock) {
   // Pins the fix for the genuine finding the whole-program pass surfaced:
-  // ScheduleMemo::schedule_for_plan used to call trace::counter_add (which
-  // acquires the process-wide trace mutex) while holding its own memo lock.
-  // The counters are now bumped outside the critical section; this gate
-  // keeps the pattern from coming back.
-  const std::string schedule =
-      std::string(EROOF_LINT_FIXTURES) + "/../../../src/core/schedule.cpp";
-  const auto r = run_lint(schedule);
+  // the serving schedule memo used to call trace::counter_add (which
+  // acquires the process-wide trace mutex) while holding its own lock. Every
+  // plan and schedule now lives in ShardedLruCache, whose hit/miss/eviction
+  // counters are bumped outside the shard lock; this gate keeps the pattern
+  // from coming back.
+  const std::string cache =
+      std::string(EROOF_LINT_FIXTURES) + "/../../../src/serve/cache.hpp";
+  const auto r = run_lint(cache);
   EXPECT_EQ(count_lines_containing(r.out, "conc-blocking-under-lock"), 0u)
       << r.out;
 }

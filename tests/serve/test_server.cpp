@@ -378,5 +378,45 @@ TEST(FmmServer, ScheduleIsKeyedByRequestSizeNotJustPlanKey) {
   EXPECT_NE(a1.schedule.pred_time_s, b1.schedule.pred_time_s);
 }
 
+TEST(FmmServer, ScheduleCacheIsBoundedAndEvictedShapesRescheduleIdentically) {
+  // The point count is the client's choice and part of the schedule key, so
+  // more distinct shapes than the cache's 64-entry bound must evict, not
+  // grow: 80 sizes at Q=8 share one depth-2 plan but key 80 schedules.
+  const auto ctx = ScheduleContext::tegra_default();
+  ServerConfig cfg;
+  cfg.schedule_ctx = ctx;
+  FmmServer server(cfg);
+
+  WorkloadConfig wl = small_workload();
+  wl.sizes.clear();
+  for (std::size_t n = 64; n < 144; ++n) wl.sizes.push_back(n);
+  std::vector<FmmResponse> first;
+  for (std::uint64_t i = 0; i < wl.sizes.size(); ++i)
+    first.push_back(server.serve_now(make_request(wl, i)));
+
+  const auto st = server.stats().schedule_cache;
+  EXPECT_EQ(st.misses, wl.sizes.size());
+  EXPECT_GT(st.evictions, 0u);
+  // Every miss inserted one entry and no search failed, so the cache holds
+  // misses - evictions entries.
+  EXPECT_LE(st.misses - st.evictions, 64u);
+
+  // Re-serve the earliest shapes until one misses: that shape was evicted
+  // and its schedule is searched again, to the same result.
+  bool found_evicted = false;
+  for (std::uint64_t i = 0; i < wl.sizes.size() && !found_evicted; ++i) {
+    const std::uint64_t misses = server.stats().schedule_cache.misses;
+    const FmmResponse again = server.serve_now(make_request(wl, i));
+    ASSERT_EQ(again.status, ServeStatus::kOk);
+    if (server.stats().schedule_cache.misses == misses) continue;
+    found_evicted = true;
+    EXPECT_EQ(again.schedule.setting_labels, first[i].schedule.setting_labels);
+    EXPECT_EQ(again.schedule.pred_time_s, first[i].schedule.pred_time_s);
+    EXPECT_EQ(again.schedule.pred_energy_j, first[i].schedule.pred_energy_j);
+    EXPECT_EQ(again.schedule.switches, first[i].schedule.switches);
+  }
+  EXPECT_TRUE(found_evicted);
+}
+
 }  // namespace
 }  // namespace eroof::serve

@@ -197,5 +197,34 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(json.find("phase \\\"A\\\"\\n"), std::string::npos);
 }
 
+TEST(CliTracer, UnknownFlagExitsTwo) {
+  // The callers take positional arguments only, so a misspelled flag or a
+  // bare `--trace` must stop the run instead of silently tracing nothing.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::string flag : {"--trace-csv=x", "--trace"}) {
+    std::string prog = "prog";
+    std::string n = "1024";
+    char* argv[] = {prog.data(), n.data(), flag.data(), nullptr};
+    int argc = 3;
+    EXPECT_EXIT(CliTracer(argc, argv), ::testing::ExitedWithCode(2),
+                "unknown flag: " + flag)
+        << flag;
+  }
+}
+
+TEST(CliTracer, StripsTraceFlagAndKeepsPositionals) {
+  std::string prog = "prog";
+  std::string n = "1024";
+  std::string trace = "--trace=";  // empty path: tracing stays off
+  std::string q = "16";
+  char* argv[] = {prog.data(), n.data(), trace.data(), q.data(), nullptr};
+  int argc = 4;
+  const CliTracer tracer(argc, argv);
+  EXPECT_FALSE(tracer.enabled());
+  ASSERT_EQ(argc, 3);
+  EXPECT_EQ(std::string(argv[1]), "1024");
+  EXPECT_EQ(std::string(argv[2]), "16");
+}
+
 }  // namespace
 }  // namespace eroof::trace
