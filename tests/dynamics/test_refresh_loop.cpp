@@ -66,7 +66,8 @@ TEST(RefreshLoop, ThermalDriftTriggersRefitAndRebaseline) {
   EXPECT_EQ(engine.refresh()->stats().observations, 12u * 7u);
   // The refit moved the model toward the hot regime: its constant power at
   // the seed grid's top setting now exceeds the frozen seed model's.
-  const auto& ctx = *refresh_config().tuning.context;
+  const DynamicsEngine::Config cfg = refresh_config();
+  const auto& ctx = *cfg.tuning.context;
   EXPECT_GT(engine.refresh()->model().constant_power_w(ctx.grid.back()),
             ctx.model.constant_power_w(ctx.grid.back()));
 }
